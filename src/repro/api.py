@@ -839,6 +839,13 @@ class Runtime:
         shared kernels are drained once by their owner), and finally the
         telemetry capture snapshots the ledger so exit-cleanup cycles are
         attributed.
+
+        A drained owned runtime also drops its ocall handlers: the
+        enclave, backend and kernel reference each other, and the
+        handlers tie the host filesystem into that cycle, which would
+        otherwise keep every simulated file alive until the cyclic GC
+        runs.  A shared kernel keeps running after close and may still
+        complete this runtime's in-flight ocalls, so those keep theirs.
         """
         if self._closed:
             return
@@ -852,6 +859,7 @@ class Runtime:
             self.kernel.run()
             if self.telemetry is not None:
                 self.telemetry.finalize()
+            self.urts.clear()
 
     def __enter__(self) -> "Runtime":
         return self

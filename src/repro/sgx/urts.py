@@ -63,6 +63,10 @@ class UntrustedRuntime:
         for name, handler in handlers.items():
             self.register(name, handler)
 
+    def clear(self) -> None:
+        """Drop every handler (they hold the host OS and its files)."""
+        self._handlers.clear()
+
     def registered(self, name: str) -> bool:
         """Whether an ocall handler exists for ``name``."""
         return name in self._handlers

@@ -84,6 +84,23 @@ class TestLifecycle:
         assert log_names(injector) == ["fault.plan.attached", "fault.plan.detached"]
         injector.detach()  # idempotent
 
+    def test_detach_after_fired_faults_keeps_timer_counts(self):
+        # detach() cancels fault timers that already fired; those are no
+        # longer stored, so the kernel's live-timer count must not move.
+        kernel, enclave = build()
+        injector = attach(
+            kernel,
+            enclave,
+            FaultSpec(kind="worker-stall", at_ms=0.1, duration_ms=0.5),
+        )
+        storm(kernel, enclave)
+        before = kernel.timer_stats()
+        injector.detach()
+        assert kernel.timer_stats() == before
+        enclave.stop_backend()
+        kernel.run()
+        assert kernel.timer_stats()["live"] == 0
+
     def test_healthy_run_is_unperturbed_by_the_module(self):
         kernel_a, enclave_a = build()
         storm(kernel_a, enclave_a)
