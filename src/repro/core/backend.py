@@ -19,6 +19,7 @@ optimised ``rep movsb`` version (§IV-F) and spawns the scheduler thread.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 from repro.core.config import ZcConfig
@@ -275,63 +276,58 @@ class ZcSwitchlessBackend(CallBackend):
         worker.request = request
         worker.set_status(WorkerStatus.PROCESSING)
 
-        # Busy-wait for the worker to publish results (WAITING).  While a
-        # fault injector is attached the wait is bounded: a worker that
-        # crashed or stalled past the timeout gets its slot quarantined
-        # and the call completes via a regular-transition fallback (the
+        # Busy-wait for the worker to publish results (WAITING): one spin
+        # that also ends if the slot is respawned.  While a fault injector
+        # is attached the spin is bounded: a worker that crashed or
+        # stalled past the timeout gets its slot quarantined and the call
+        # completes via a regular-transition fallback (the
         # graceful-degradation path; at-least-once execution for the
-        # abandoned request).  Healthy runs never time out, so the loop
-        # is byte-identical to the fault-free build.
+        # abandoned request).  Healthy runs wait unbounded.
         generation = worker.generation
-        waited = 0.0
-        give_up = False
-        while True:
-            if worker.generation != generation:
-                # The worker crashed and its slot was respawned while we
-                # waited: the rejoin reset our request, and any WAITING we
-                # observe now belongs to a later caller.  Abandon the slot
-                # (it is healthy again — no quarantine) and recover.
-                give_up = True
-            elif worker.status is WorkerStatus.WAITING:
-                break
-            if give_up:
-                faults = enclave.kernel.faults
-                self.stats.record_timeout_recovery()
-                # Counts as a fallback for the scheduler's F_i measurement
-                # — the call did pay a full transition in the end.  No
-                # ``zc.fallback`` event though: that event asserts the
-                # §IV-C *immediate* (zero-wait) fallback invariant, which
-                # this recovery path intentionally does not satisfy; it
-                # emits ``fault.caller.timeout`` instead.
-                self.stats.record_fallback()
-                if faults is not None:
-                    faults.emit(
-                        "fault.caller.timeout",
-                        name=request.name,
-                        worker=worker.index,
-                        waited_cycles=waited,
-                    )
-                result = yield from self._regular(request)
-                request.mode = "fallback"
-                return result
-            yield Spin(
-                worker.status_gate.wait_value(WorkerStatus.WAITING),
-                self.config.completion_spin_chunk_cycles,
-                tag="zc-wait-done",
-            )
-            faults = enclave.kernel.faults
-            if faults is None:
-                continue
-            waited += self.config.completion_spin_chunk_cycles
-            if waited < faults.caller_timeout_cycles(self.config.request_timeout_cycles):
-                continue
-            # Timed out: the worker crashed (without supervision) or is
-            # stalled past the deadline.  Quarantine the slot — the caller
-            # scan and scheduler sweep skip it, and the worker thread (if
-            # alive, or once respawned) rejoins by resetting it.
-            if worker.request is request:
+        faults = enclave.kernel.faults
+        timeout = (
+            math.inf
+            if faults is None
+            else faults.caller_timeout_cycles(self.config.request_timeout_cycles)
+        )
+        wait_start = enclave.kernel.now
+        published = yield Spin(
+            worker.status_gate.wait_for(
+                lambda v: v is WorkerStatus.WAITING or worker.generation != generation
+            ),
+            timeout,
+            tag="zc-wait-done",
+        )
+        if not published or worker.generation != generation:
+            # Either the worker crashed and its slot was respawned while we
+            # waited — the rejoin reset our request, any WAITING we observe
+            # now belongs to a later caller, and the slot is healthy again
+            # — or the spin timed out: the worker crashed (without
+            # supervision) or is stalled past the deadline.
+            if not published and worker.request is request:
+                # Quarantine the slot: the caller scan and scheduler sweep
+                # skip it, and the worker thread (if alive, or once
+                # respawned) rejoins by resetting it.
                 worker.quarantined = True
-            give_up = True
+            faults = enclave.kernel.faults
+            self.stats.record_timeout_recovery()
+            # Counts as a fallback for the scheduler's F_i measurement —
+            # the call did pay a full transition in the end.  No
+            # ``zc.fallback`` event though: that event asserts the §IV-C
+            # *immediate* (zero-wait) fallback invariant, which this
+            # recovery path intentionally does not satisfy; it emits
+            # ``fault.caller.timeout`` instead.
+            self.stats.record_fallback()
+            if faults is not None:
+                faults.emit(
+                    "fault.caller.timeout",
+                    name=request.name,
+                    worker=worker.index,
+                    waited_cycles=enclave.kernel.now - wait_start,
+                )
+            result = yield from self._regular(request)
+            request.mode = "fallback"
+            return result
         result = worker.result
         worker.request = None
         worker.set_status(WorkerStatus.UNUSED)

@@ -39,6 +39,10 @@ class SchedulerPolicy(enum.Enum):
 class ZcConfig:
     """ZC-SWITCHLESS runtime parameters.
 
+    An idle worker and a caller waiting for results each busy-wait in one
+    spin, charged continuously, until a state change wakes them (see
+    :mod:`repro.core.worker`).
+
     Attributes:
         quantum_seconds: The scheduler quantum ``Q`` (paper: 10 ms).
         mu: Micro-quantum fraction; each configuration-phase probe lasts
@@ -52,11 +56,6 @@ class ZcConfig:
             ocall to free and reallocate it (§IV-B).
         request_header_bytes: Fixed pool bytes per switchless request
             (function id, argument frame, return slot).
-        idle_spin_chunk_cycles: Granularity of an idle worker's busy-wait
-            loop re-arm (bounds wake-up latency if a notification is ever
-            missed; does not change the CPU cost of waiting).
-        completion_spin_chunk_cycles: Granularity of the caller's
-            busy-wait for results.
         decision_cycles: Scheduler work to compute the argmin each cycle.
         enable_scheduler: Disable to freeze the worker count (used by
             unit tests and ablation benches).
@@ -64,11 +63,12 @@ class ZcConfig:
             enclave (§IV-F); on by default, as released.
         request_timeout_cycles: Bound on the caller's completion
             busy-wait, enforced **only while a fault injector is
-            attached** (``kernel.faults`` set): on expiry the caller
-            quarantines the worker slot and recovers via a regular
-            fallback ocall.  Healthy runs never consult it.  The default
-            (~26 ms at the paper's 3.8 GHz) is far above any healthy
-            completion time.
+            attached** (``kernel.faults`` set; the wait is then one spin
+            bounded by this many cycles, otherwise unbounded): on expiry
+            the caller quarantines the worker slot and recovers via a
+            regular fallback ocall.  Healthy runs never consult it.  The
+            default (~26 ms at the paper's 3.8 GHz) is far above any
+            healthy completion time.
         policy: Worker-cost accounting used by the scheduler; see
             :class:`SchedulerPolicy`.
         worker_affinity: Logical CPUs the worker threads are pinned to
@@ -84,8 +84,6 @@ class ZcConfig:
     initial_workers: int | None = None
     pool_capacity_bytes: int = 256 * 1024
     request_header_bytes: int = 64
-    idle_spin_chunk_cycles: float = 50_000.0
-    completion_spin_chunk_cycles: float = 100_000.0
     decision_cycles: float = 2_000.0
     request_timeout_cycles: float = 100_000_000.0
     enable_scheduler: bool = True

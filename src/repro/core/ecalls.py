@@ -19,6 +19,7 @@ Install with ``ZcEcallRuntime(config).attach(enclave)``; the enclave's
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 from repro.core.config import ZcConfig
@@ -173,12 +174,11 @@ class ZcEcallRuntime:
 
         worker.request = request
         worker.set_status(WorkerStatus.PROCESSING)
-        while worker.status is not WorkerStatus.WAITING:
-            yield Spin(
-                worker.status_gate.wait_value(WorkerStatus.WAITING),
-                self.config.completion_spin_chunk_cycles,
-                tag="zc-ecall-wait",
-            )
+        yield Spin(
+            worker.status_gate.wait_value(WorkerStatus.WAITING),
+            math.inf,
+            tag="zc-ecall-wait",
+        )
         result = worker.result
         worker.request = None
         worker.set_status(WorkerStatus.UNUSED)

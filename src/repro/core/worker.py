@@ -15,6 +15,12 @@ State transitions:
 An *active* (non-paused) worker always occupies a CPU: it is either
 executing a request or busy-waiting for one — the ``M`` cost term in the
 scheduler's wasted-cycle model.  A paused worker blocks and costs nothing.
+The busy-wait is one unbounded ``Spin`` per idle period, charged
+continuously by the kernel, so an idle worker costs one kernel event per
+timeslice.  Only a *kick* ends it, so every write to a condition the loop
+polls must wake an idle worker: status changes, pause and exit requests
+and fault stalls call :meth:`ZcWorker.kick`.  Quarantine needs no kick:
+a quarantined slot's thread is dead or still owns its request.
 
 Fault tolerance (see :mod:`repro.faults`): a worker may additionally be
 *quarantined* — its slot abandoned after a crash or a caller completion
@@ -28,6 +34,7 @@ are gated on ``kernel.faults``, so healthy runs are unchanged.
 from __future__ import annotations
 
 import enum
+import math
 from typing import TYPE_CHECKING
 
 from repro.core.config import ZcConfig
@@ -212,7 +219,8 @@ class ZcWorker:
                 continue
             # UNUSED / RESERVED / WAITING: busy-wait for a state change.
             # This spin is the worker-side CPU cost of keeping a worker
-            # active (the M*T term of the wasted-cycle model).
+            # active (the M*T term of the wasted-cycle model).  Only a
+            # kick ends it (see the module docstring).
             kick = self.kernel.event(f"zcw{self.index}-kick")
             self._kick_event = kick
-            yield Spin(kick, self.config.idle_spin_chunk_cycles, tag="zc-idle")
+            yield Spin(kick, math.inf, tag="zc-idle")

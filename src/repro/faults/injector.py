@@ -12,7 +12,8 @@ perturbs the stack directly:
   and the scheduler's activation sweep skip the dead slot; an optional
   respawn timer asks the backend to supervise the slot back to life.
 - **worker-stall / worker-slowdown** — consumed by the worker loops at
-  their next dispatch point via :meth:`take_stall` / :meth:`cost_factor`.
+  their next dispatch point via :meth:`take_stall` / :meth:`cost_factor`
+  (a stall kicks an idle ZC worker, so it starts at injection time).
 - **enclave-lost** — marks the enclave lost; the next entry attempt runs
   :class:`repro.faults.recovery.EnclaveRecovery` (re-create + capped
   exponential backoff).
@@ -333,11 +334,16 @@ class FaultInjector:
         if target is None or not indices:
             self.emit("fault.skipped", kind=spec.kind, reason="no-matching-worker")
             return
+        _, _, workers = self._resolve_target(spec.target)
         stall = self._cycles(spec.duration_ms)
         for index in indices:
             key = (target, index)
             self._stalls[key] = self._stalls.get(key, 0.0) + stall
             self.emit("fault.worker.stall", target=target, worker=index, cycles=stall)
+            if workers is not None:
+                # An idle ZC worker spins until kicked: wake it so the
+                # stall starts now, not at its next state change.
+                workers[index].kick()
 
     def _apply_slowdown(self, spec: FaultSpec) -> None:
         assert self.kernel is not None

@@ -466,7 +466,9 @@ class Kernel:
 
         Args:
             until_time: Stop once the next timer lies beyond this absolute
-                cycle count; ``kernel.now`` is advanced to ``until_time``.
+                cycle count; ``kernel.now`` is advanced to ``until_time``
+                and in-flight work is credited up to it, so cycle
+                counters read after the stop are exact.
             stop_when: Callable checked after each processed timer and
                 microtask batch; return True to stop.
             max_events: Safety bound on processed timers.
@@ -490,6 +492,7 @@ class Kernel:
                 timers.push(timer)
                 if until_time > self.now:
                     self.now = until_time
+                self.flush_accounting()
                 return
             if when < self.now:
                 raise SimulationError("timer scheduled in the past")

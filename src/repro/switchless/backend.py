@@ -16,6 +16,7 @@ Caller-side protocol (matching ``sgx_uswitchless``):
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 from repro.sgx.backend import CallBackend
@@ -27,9 +28,6 @@ from repro.switchless.worker import IntelWorkerStats, intel_worker_loop
 
 if TYPE_CHECKING:
     from repro.sgx.enclave import Enclave, OcallRequest
-
-#: Chunk size (cycles) for the unbounded wait-for-completion spin.
-_COMPLETION_SPIN_CHUNK = 5_000_000.0
 
 
 class IntelSwitchlessBackend(CallBackend):
@@ -207,26 +205,22 @@ class IntelSwitchlessBackend(CallBackend):
         # Under fault injection the wait is bounded: if the claiming
         # worker crashed, the task is abandoned and the call recovers via
         # a regular fallback.  Healthy runs never consult the timeout.
-        waited = 0.0
-        while not task.done.fired:
-            fired = yield Spin(task.done, _COMPLETION_SPIN_CHUNK, tag="sl-wait-done")
-            if fired or task.done.fired:
-                break
-            faults = enclave.kernel.faults
-            if faults is None:
-                continue
-            waited += _COMPLETION_SPIN_CHUNK
-            if waited < faults.caller_timeout_cycles(self.config.completion_timeout_cycles):
-                continue
+        started = enclave.kernel.now
+        yield Spin(task.done, self._completion_timeout(), tag="sl-wait-done")
+        if not task.done.fired:
             task.abandoned = True
             self.fallback_count += 1
             if bus is not None:
                 bus.emit(
                     "intel.fallback", name=request.name, reason="completion-timeout"
                 )
-            faults.emit(
-                "fault.caller.timeout", name=request.name, waited_cycles=waited
-            )
+            faults = enclave.kernel.faults
+            if faults is not None:
+                faults.emit(
+                    "fault.caller.timeout",
+                    name=request.name,
+                    waited_cycles=enclave.kernel.now - started,
+                )
             result = yield from self._regular(request)
             request.mode = "fallback"
             return result
@@ -235,6 +229,18 @@ class IntelSwitchlessBackend(CallBackend):
         # only fallbacks (the exceptional path) are bus events.
         request.mode = "switchless"
         return task.done.value
+
+    def _completion_timeout(self) -> float:
+        """Bound on a claimed task's completion wait.
+
+        Unbounded on healthy runs; the fault injector's caller timeout
+        while one is attached.
+        """
+        assert self._enclave is not None
+        faults = self._enclave.kernel.faults
+        if faults is None:
+            return math.inf
+        return faults.caller_timeout_cycles(self.config.completion_timeout_cycles)
 
     def _regular(self, request: "OcallRequest") -> Program:
         enclave = self._enclave
@@ -292,17 +298,9 @@ class IntelSwitchlessBackend(CallBackend):
             return result
 
         # Bounded under fault injection, exactly as the ocall path above.
-        waited = 0.0
-        while not task.done.fired:
-            fired = yield Spin(task.done, _COMPLETION_SPIN_CHUNK, tag="sl-ecall-wait-done")
-            if fired or task.done.fired:
-                break
-            faults = enclave.kernel.faults
-            if faults is None:
-                continue
-            waited += _COMPLETION_SPIN_CHUNK
-            if waited < faults.caller_timeout_cycles(self.config.completion_timeout_cycles):
-                continue
+        started = enclave.kernel.now
+        yield Spin(task.done, self._completion_timeout(), tag="sl-ecall-wait-done")
+        if not task.done.fired:
             task.abandoned = True
             self.ecall_fallback_count += 1
             if bus is not None:
@@ -312,9 +310,13 @@ class IntelSwitchlessBackend(CallBackend):
                     reason="completion-timeout",
                     path="ecall",
                 )
-            faults.emit(
-                "fault.caller.timeout", name=request.name, waited_cycles=waited
-            )
+            faults = enclave.kernel.faults
+            if faults is not None:
+                faults.emit(
+                    "fault.caller.timeout",
+                    name=request.name,
+                    waited_cycles=enclave.kernel.now - started,
+                )
             result = yield from self._regular_ecall(request)
             request.mode = "fallback"
             return result

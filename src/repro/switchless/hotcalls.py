@@ -19,6 +19,7 @@ against Intel switchless and zc on the same workload.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import TYPE_CHECKING
 
@@ -29,12 +30,6 @@ from repro.sim.primitives import Event
 
 if TYPE_CHECKING:
     from repro.sgx.enclave import Enclave, OcallRequest
-
-#: Responders re-arm their idle spin at this granularity (pure busy-wait;
-#: the chunking only bounds simulator event sizes, not CPU cost).
-_IDLE_SPIN_CHUNK = 1_000_000.0
-#: Chunk size for the caller's unbounded wait-for-completion spin.
-_COMPLETION_SPIN_CHUNK = 5_000_000.0
 
 
 class HotCallsConfig:
@@ -131,8 +126,7 @@ class HotCallsBackend(CallBackend):
         for signal in signals:
             signal.fire_if_unfired()
         # Spin until completion: HotCalls has no fallback whatsoever.
-        while not call.done.fired:
-            yield Spin(call.done, _COMPLETION_SPIN_CHUNK, tag="hotcall-wait")
+        yield Spin(call.done, math.inf, tag="hotcall-wait")
         request.mode = "switchless"
         self.hot_count += 1
         return call.done.value
@@ -149,7 +143,8 @@ class HotCallsBackend(CallBackend):
                 yield Compute(cost.worker_complete_cycles, tag="hotcall-complete")
                 call.done.fire(result)
                 continue
-            # Busy-wait forever: the defining HotCalls trait.
+            # Busy-wait forever: the defining HotCalls trait.  One spin per
+            # idle period; a publish or ``stop()`` fires the signal.
             signal = enclave.kernel.event("hotcalls-signal")
             self._signals.append(signal)
-            yield Spin(signal, _IDLE_SPIN_CHUNK, tag="hotcall-idle")
+            yield Spin(signal, math.inf, tag="hotcall-idle")

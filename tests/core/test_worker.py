@@ -90,6 +90,16 @@ class TestStateMachine:
         kernel.run(until_time=1_000_000)
         assert thread.cycles_by["spin"] == pytest.approx(1_000_000, rel=0.01)
 
+    def test_idle_worker_costs_one_event_per_timeslice(self):
+        """The idle busy-wait is one spin, bounded only by slice expiry."""
+        kernel, _, _, _, thread = build()
+        slices = 100
+        kernel.run(until_time=slices * kernel.spec.timeslice_cycles)
+        assert kernel.events_processed <= 110
+        assert thread.cycles_by["spin"] == pytest.approx(
+            slices * kernel.spec.timeslice_cycles
+        )
+
     def test_unpause_signal_reactivates(self):
         kernel, _, _, worker, thread = build()
         worker.request_pause()

@@ -191,6 +191,21 @@ class TestSlowWorkers:
         assert "fault.worker.stall" in log_names(injector)
         assert kernel_b.now > kernel_a.now
 
+    def test_stall_on_idle_zc_worker_starts_at_injection(self):
+        # An idle worker spins until kicked; the stall kicks it, so the
+        # fault-stall compute begins at the injection cycle.
+        kernel, enclave = build()
+        attach(
+            kernel,
+            enclave,
+            FaultSpec(kind="worker-stall", at_ms=0.1, index=0, duration_ms=0.5),
+        )
+        injected = kernel.cycles(0.1 / 1_000.0)
+        kernel.run(until_time=injected + 100_000.0)
+        kernel.flush_accounting()
+        thread = enclave.backend.worker_threads[0]
+        assert thread.cycles_compute == pytest.approx(100_000.0)
+
     def test_slowdown_inflates_worker_costs(self):
         kernel_a, enclave_a = build()
         storm(kernel_a, enclave_a)

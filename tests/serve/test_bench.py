@@ -48,6 +48,25 @@ EARLY_LOST = FaultPlan(
 )
 
 
+class TestHostCost:
+    def test_events_per_completed_request_is_bounded(self):
+        # Idle zc workers spin once per idle period, so kernel events
+        # track requests, not elapsed time.
+        result = run_bench(
+            BenchSpec(
+                serve=ServeSpec(shards=4),
+                seconds=0.05,
+                rate=2_000.0,
+                keydist="uniform",
+                seed=3,
+            ),
+            telemetry=False,
+        )
+        completed = result["totals"]["completed"]
+        assert completed > 0
+        assert result["host"]["events_processed"] / completed <= 40
+
+
 class TestArtifact:
     def test_deterministic(self):
         first = run_bench(OPEN_LOOP, telemetry=False)
