@@ -181,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
     payload = measure_arms(repeats=args.repeats)
     from repro.telemetry.schema import stamp
 
-    payload = {**stamp("bench-obs"), "scenario": SCENARIO, **payload}
+    payload = {**stamp("bench-obs"), "scenario": SCENARIO.to_json(), **payload}
     with open(args.json, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")

@@ -158,9 +158,7 @@ class ZcSwitchlessBackend(CallBackend):
         """
         if self.arbiter is not None:
             count = self.arbiter.grant(self, count)
-        workers = self.workers
-        if any(worker.quarantined for worker in workers):
-            workers = [worker for worker in workers if not worker.quarantined]
+        workers = [worker for worker in self.workers if not worker.quarantined]
         count = max(0, min(count, len(workers)))
         for worker in workers[:count]:
             if worker.pause_requested or worker.is_paused:
@@ -188,9 +186,9 @@ class ZcSwitchlessBackend(CallBackend):
         scheduler policy prices.
         """
         self.kernel.flush_accounting()
-        total = sum(t.cycles_by.get("spin", 0.0) for t in self.worker_threads)
+        total = sum([t.cycles_spin for t in self.worker_threads])
         if self.retired_threads:
-            total += sum(t.cycles_by.get("spin", 0.0) for t in self.retired_threads)
+            total += sum([t.cycles_spin for t in self.retired_threads])
         return total
 
     # ------------------------------------------------------------------

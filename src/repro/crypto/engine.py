@@ -90,10 +90,11 @@ class FastXorEngine:
         self._pad = bytes(stream[:256])
 
     def _xor(self, data: bytes) -> bytes:
-        pad = (self._pad * (len(data) // 256 + 1))[: len(data)]
-        return bytes(a ^ b for a, b in zip(data, pad)) if len(data) < 4096 else (
-            int.from_bytes(data, "big") ^ int.from_bytes(pad, "big")
-        ).to_bytes(len(data), "big")
+        # One big-int XOR at every length: the same bytes as a bytewise
+        # XOR, without a per-byte Python loop.
+        n = len(data)
+        pad = (self._pad * (n // 256 + 1))[:n]
+        return (int.from_bytes(data, "big") ^ int.from_bytes(pad, "big")).to_bytes(n, "big")
 
     def encrypt(self, plaintext: bytes) -> bytes:
         """Pad then XOR-transform (length-faithful stand-in)."""

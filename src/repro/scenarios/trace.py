@@ -26,6 +26,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from repro.telemetry.schema import check_stamp, stamp
@@ -100,9 +101,13 @@ class ScenarioTrace:
         if unknown:
             raise ValueError(f"events address undeclared apps {unknown}")
 
-    @property
+    @cached_property
     def digest(self) -> str:
-        """SHA-256 over the serialized event lines (the header's hash)."""
+        """SHA-256 over the serialized event lines (the header's hash).
+
+        Cached: the trace is frozen, and serialising every event is the
+        cost of a read (replays read it once per run).
+        """
         return trace_digest(self.events)
 
     def header(self) -> dict[str, Any]:
@@ -123,8 +128,11 @@ class ScenarioTrace:
 
 def trace_digest(events: tuple[TraceEvent, ...]) -> str:
     """SHA-256 over the newline-joined canonical event lines."""
-    payload = "\n".join(event.to_json() for event in events)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return _lines_digest([event.to_json() for event in events])
+
+
+def _lines_digest(lines: list[str]) -> str:
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
 def write_trace(trace: ScenarioTrace, path: str) -> str:
@@ -137,12 +145,16 @@ def write_trace(trace: ScenarioTrace, path: str) -> str:
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
+    lines = [event.to_json() for event in trace.events]
+    # Serialise each event once: the header's digest hashes the very
+    # lines written below (and fills the trace's digest cache).
+    vars(trace).setdefault("digest", _lines_digest(lines))
     header = json.dumps(trace.header(), sort_keys=True, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header)
         fh.write("\n")
-        for event in trace.events:
-            fh.write(event.to_json())
+        for line in lines:
+            fh.write(line)
             fh.write("\n")
     return path
 
@@ -181,7 +193,7 @@ def load_trace(path: str) -> ScenarioTrace:
             f"({str(header.get('sha256'))[:12]}…) — the trace was modified"
         )
     tenants = header.get("tenants")
-    return ScenarioTrace(
+    trace = ScenarioTrace(
         name=header["name"],
         seed=int(header["seed"]),
         duration_s=float(header["duration_s"]),
@@ -191,3 +203,5 @@ def load_trace(path: str) -> ScenarioTrace:
         generator=dict(header.get("generator") or {}),
         events=events,
     )
+    vars(trace)["digest"] = digest  # just verified: fill the cache
+    return trace

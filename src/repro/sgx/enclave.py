@@ -108,7 +108,9 @@ class CallStats:
 
     def record(self, request: OcallRequest, completed_at: float) -> None:
         """Record one sample/event."""
-        site = self.by_name.setdefault(request.name, CallSiteStats())
+        site = self.by_name.get(request.name)
+        if site is None:
+            site = self.by_name[request.name] = CallSiteStats()
         site.calls += 1
         latency = completed_at - request.issued_at
         site.total_latency_cycles += latency

@@ -32,7 +32,7 @@ if TYPE_CHECKING:
     from repro.sim.primitives import Event
 
 
-@dataclass
+@dataclass(init=False, slots=True)
 class Compute:
     """Occupy the CPU for ``cycles`` nominal cycles of work.
 
@@ -41,14 +41,18 @@ class Compute:
     """
 
     cycles: float
-    tag: str | None = None
+    tag: str | None
 
-    def __post_init__(self) -> None:
-        if self.cycles < 0:
+    # Hand-written (no ``__post_init__`` hop): Compute and Spin are built
+    # once per simulated activity, on the kernel's hottest path.
+    def __init__(self, cycles: float, tag: str | None = None) -> None:
+        if cycles < 0:
             raise ValueError("Compute.cycles must be >= 0")
+        self.cycles = cycles
+        self.tag = tag
 
 
-@dataclass
+@dataclass(init=False, slots=True)
 class Spin:
     """Busy-wait on ``event`` for at most ``timeout`` nominal cycles.
 
@@ -59,11 +63,14 @@ class Spin:
 
     event: "Event"
     timeout: float
-    tag: str | None = None
+    tag: str | None
 
-    def __post_init__(self) -> None:
-        if self.timeout < 0:
+    def __init__(self, event: "Event", timeout: float, tag: str | None = None) -> None:
+        if timeout < 0:
             raise ValueError("Spin.timeout must be >= 0")
+        self.event = event
+        self.timeout = timeout
+        self.tag = tag
 
 
 @dataclass

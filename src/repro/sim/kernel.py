@@ -32,7 +32,21 @@ Raw-speed design (see docs/performance.md for the measured profile):
   float slots (``cycles_by`` remains as a read-only dict view) and
   per-core per-kind cycles use a run-length accumulator folded into the
   dict only when the running thread's kind changes or the counter is
-  read.
+  read.  ``flush_accounting`` skips idle cores and activities already
+  credited up to ``now``.
+- **Inline completion.**  When an event handler's last act steps a
+  thread that yields a Compute whose end is provably the next event (no
+  microtask pending, the run loop's stop condition not holding, every
+  stored timer strictly later, the end inside the timeslice), ``_step``
+  advances the clock, charges the interval and counts the event itself
+  and keeps stepping: no Timer, push, pop or callback.  The pop order,
+  the float expressions and ``events_processed`` are those of the queued
+  path.  ``join`` re-checks its stop condition only when a thread
+  finishes, so it permits inlining; ``run`` with a time or event bound
+  or a custom predicate does not inline.
+- **Dispatch stops at saturation.**  Once no CPU is idle,
+  ``_try_dispatch`` keeps the rest of the ready queue as it stands
+  (minus killed entries) instead of asking ``_idle_core_for`` per thread.
 """
 
 from __future__ import annotations
@@ -173,10 +187,6 @@ class SimThread:
     def cycles_by(self) -> dict[str, float]:
         """Cycles split by activity kind, as the historical dict shape."""
         return {"compute": self.cycles_compute, "spin": self.cycles_spin}
-
-    def allowed_on(self, cpu_index: int) -> bool:
-        """Whether the affinity mask admits ``cpu_index``."""
-        return self.affinity is None or cpu_index in self.affinity
 
     @property
     def done(self) -> bool:
@@ -333,6 +343,14 @@ class Kernel:
         #: Maintained so the dispatch scan skips the busy prefix instead of
         #: re-walking all logical CPUs per ready thread.
         self._idle_scan_start = 0
+        #: Ready-queue entries whose thread was killed while READY; they
+        #: stay queued until a dispatch drops them (see kill).
+        self._stale_ready = 0
+        #: Whether a tail Compute may complete inline (see _step): set by
+        #: the run loop once its stop condition is known not to hold,
+        #: cleared when a thread finishes and whenever a run starts or
+        #: ends, so the loop re-checks before the next inline completion.
+        self._inline_ok = False
         self.threads: list[SimThread] = []
         self.cpus = [LogicalCPU(i, self) for i in range(self.spec.n_logical)]
         for cpu in self.cpus:
@@ -473,35 +491,64 @@ class Kernel:
                 microtask batch; return True to stop.
             max_events: Safety bound on processed timers.
         """
+        self._run(until_time, stop_when, max_events, stop_on_finish=False)
+
+    def _run(
+        self,
+        until_time: float | None,
+        stop_when: Callable[[], bool] | None,
+        max_events: int | None,
+        stop_on_finish: bool,
+    ) -> None:
+        """The event loop behind :meth:`run` and :meth:`join`.
+
+        With ``stop_on_finish`` the stop condition may only turn true when
+        a thread finishes (a join), so it is re-checked only while
+        ``_inline_ok`` is clear — at the start and after each finish.
+        Inline completion is allowed only when nothing but the stop
+        condition could end the loop before the next pop: no time bound,
+        no event bound, no per-event predicate.
+        """
         micro = self._micro
         timers = self._timers
         pop = timers.pop
+        inline = until_time is None and max_events is None and (
+            stop_when is None or stop_on_finish
+        )
         processed = 0
-        while True:
-            while micro:
-                micro.popleft()()
-            if stop_when is not None and stop_when():
-                return
-            timer = pop()
-            if timer is None:
-                if micro:
-                    continue
-                break
-            when = timer.when
-            if until_time is not None and when > until_time:
-                timers.push(timer)
-                if until_time > self.now:
-                    self.now = until_time
-                self.flush_accounting()
-                return
-            if when < self.now:
-                raise SimulationError("timer scheduled in the past")
-            self.now = when
-            timer.fn()
-            self.events_processed += 1
-            processed += 1
-            if max_events is not None and processed >= max_events:
-                raise SimulationError(f"exceeded max_events={max_events}")
+        # A nested run (a callback driving the kernel) ends with the flag
+        # clear, so the outer loop re-checks its own stop condition.
+        self._inline_ok = False
+        try:
+            while True:
+                while micro:
+                    micro.popleft()()
+                if not self._inline_ok:
+                    if stop_when is not None and stop_when():
+                        return
+                    self._inline_ok = inline
+                timer = pop()
+                if timer is None:
+                    if micro:
+                        continue
+                    break
+                when = timer.when
+                if until_time is not None and when > until_time:
+                    timers.push(timer)
+                    if until_time > self.now:
+                        self.now = until_time
+                    self.flush_accounting()
+                    return
+                if when < self.now:
+                    raise SimulationError("timer scheduled in the past")
+                self.now = when
+                timer.fn()
+                self.events_processed += 1
+                processed += 1
+                if max_events is not None and processed >= max_events:
+                    raise SimulationError(f"exceeded max_events={max_events}")
+        finally:
+            self._inline_ok = False
 
     def join(self, *threads: SimThread, max_events: int | None = None) -> None:
         """Run until every given thread is done.
@@ -509,10 +556,10 @@ class Kernel:
         Raises :class:`DeadlockError` if the event queue drains while some
         of the joined threads are still parked.
 
-        The stop condition is amortised O(1): finished threads are popped
-        off the front of a pending deque instead of re-scanning every
-        target per processed event (``join`` over a large batch made the
-        stop check itself a hot function).
+        The stop condition can only turn true when a thread finishes, so
+        the loop re-checks it only then (not once per event); finished
+        threads are popped off the front of a pending deque instead of
+        re-scanning every target.
         """
         pending = deque(t for t in threads if not t.done)
 
@@ -521,7 +568,7 @@ class Kernel:
                 pending.popleft()
             return not pending
 
-        self.run(stop_when=all_done, max_events=max_events)
+        self._run(None, all_done, max_events, stop_on_finish=True)
         stuck = [t for t in threads if not t.done]
         if stuck:
             states = ", ".join(f"{t.name}={t.state.value}" for t in stuck)
@@ -584,6 +631,7 @@ class Kernel:
         fallback: LogicalCPU | None = None
         cpus = self.cpus
         n = len(cpus)
+        affinity = thread.affinity
         first_idle_seen = False
         for i in range(self._idle_scan_start, n):
             cpu = cpus[i]
@@ -592,7 +640,7 @@ class Kernel:
             if not first_idle_seen:
                 first_idle_seen = True
                 self._idle_scan_start = i
-            if not thread.allowed_on(cpu.index):
+            if affinity is not None and i not in affinity:
                 continue
             if cpu.sibling is None or cpu.sibling.thread is None:
                 return cpu
@@ -606,7 +654,9 @@ class Kernel:
         """Place ready threads on idle cores, FIFO, respecting affinity.
 
         Threads whose allowed CPUs are all busy stay queued (in order)
-        without blocking later, compatible threads.
+        without blocking later, compatible threads.  Once no CPU is idle
+        the rest of the queue is kept as it stands, minus the entries that
+        are no longer READY, exactly as the per-thread scan would leave it.
         """
         self._dispatch_queued = False
         ready = self._ready
@@ -614,9 +664,20 @@ class Kernel:
             return
         deferred: deque[SimThread] = deque()
         run_on = self._run_on
+        n_cpus = len(self.cpus)
         while ready:
+            if self._idle_scan_start == n_cpus:
+                if self._stale_ready:
+                    ready = deque(t for t in ready if t.state is ThreadState.READY)
+                    self._stale_ready = 0
+                if deferred:
+                    deferred.extend(ready)
+                else:
+                    deferred = ready
+                break
             thread = ready.popleft()
             if thread.state is not ThreadState.READY:
+                self._stale_ready -= 1
                 continue
             core = self._idle_core_for(thread)
             if core is None:
@@ -730,8 +791,13 @@ class Kernel:
     # ------------------------------------------------------------------
     # Generator stepping
     # ------------------------------------------------------------------
-    def _step(self, thread: SimThread, value: Any) -> None:
-        """Advance ``thread`` until it parks on an instruction or finishes."""
+    def _step(self, thread: SimThread, value: Any, tail: bool = False) -> None:
+        """Advance ``thread`` until it parks on an instruction or finishes.
+
+        ``tail`` marks a call that is the last thing an event handler does
+        (work completion, spin interrupt).  There a Compute whose end is
+        provably the next event completes inline: see the Compute branch.
+        """
         core = thread.core
         if core is None:
             raise SimulationError(f"stepping off-core thread {thread.name}")
@@ -754,10 +820,44 @@ class Kernel:
             # fall through to the isinstance chain below.
             cls = instr.__class__
             if cls is Compute:
-                if instr.cycles <= 0:
+                # _start_work and _schedule_activity_timer folded in, with
+                # the same float expressions.
+                cycles = instr.cycles
+                if cycles <= 0:
                     value = None
                     continue
-                self._start_work(core, thread, "compute", instr.cycles, tag=instr.tag)
+                now = self.now
+                speed = core.speed()
+                activity = _Activity("compute", cycles, speed, now, None, instr.tag)
+                core.activity = activity
+                wall = cycles / speed
+                if now + wall <= thread.slice_end:
+                    end = now + wall
+                    # Inline completion: with no microtask pending, the
+                    # run loop's stop condition known not to hold and
+                    # every stored timer (cancelled ones too) strictly
+                    # later, this activity's timer would be the very next
+                    # pop.  Do what that pop would do — advance the clock,
+                    # charge the interval, count the event — without the
+                    # Timer, the push, the pop or the callback.
+                    if tail and self._inline_ok and not self._micro:
+                        heap = self._timers._heap
+                        if not heap or end < heap[0][0]:
+                            self.now = end
+                            self._apply_progress(core)
+                            core.activity = None
+                            self.events_processed += 1
+                            steps = 0  # as in the _step call it replaces
+                            value = None
+                            continue
+                    timer = Timer(end, next(self._seq), core._complete_cb)
+                else:
+                    delay = thread.slice_end - now
+                    if delay < 0:
+                        raise SimulationError("cannot schedule a timer in the past")
+                    timer = Timer(now + delay, next(self._seq), core._slice_cb)
+                activity.timer = timer
+                self._timers.push(timer)
                 return
             if cls is Spin:
                 if instr.event.fired:
@@ -845,6 +945,8 @@ class Kernel:
     def _finish_thread_lean(self, thread: SimThread, result: Any) -> None:
         thread.state = ThreadState.DONE
         thread.result = result
+        # A finish may satisfy a join: the loop re-checks before inlining.
+        self._inline_ok = False
         if thread.core is not None:
             self._release_core(thread)
         thread.done_event.fire(result)
@@ -852,6 +954,7 @@ class Kernel:
     def _finish_thread_instrumented(self, thread: SimThread, result: Any) -> None:
         thread.state = ThreadState.DONE
         thread.result = result
+        self._inline_ok = False
         if self._trace is not None:
             cpu = thread.core.index if thread.core is not None else -1
             self._trace.record(self.now, "finish", thread.name, cpu)
@@ -875,13 +978,15 @@ class Kernel:
         closed, the core released and ``done_event`` fired with ``None``.
         The thread may still be referenced by event wait lists or the
         ready queue; those entries become inert (:meth:`_make_ready`
-        ignores DONE threads, :meth:`_try_dispatch` skips non-READY
-        entries), so :meth:`ready_queue_length` can transiently over-count
-        by the number of freshly killed READY threads.  Killing a DONE
-        thread is a no-op.
+        ignores DONE threads, the next :meth:`_try_dispatch` drops them).
+        A killed READY entry is counted in ``_stale_ready`` until then, so
+        :meth:`ready_queue_length` stays exact.  Killing a DONE thread is
+        a no-op.
         """
         if thread.state is ThreadState.DONE:
             return
+        if thread.state is ThreadState.READY:
+            self._stale_ready += 1
         core = thread.core
         if core is not None and core.activity is not None:
             self._apply_progress(core)
@@ -925,10 +1030,17 @@ class Kernel:
         if work_left < 0.0:
             work_left = 0.0
         wall_remaining = work_left / activity.speed
-        if self.now + wall_remaining <= thread.slice_end:
-            activity.timer = self._at(wall_remaining, core._complete_cb)
+        now = self.now
+        # _at folded in: the same Timer(now + delay) expressions.
+        if now + wall_remaining <= thread.slice_end:
+            timer = Timer(now + wall_remaining, next(self._seq), core._complete_cb)
         else:
-            activity.timer = self._at(thread.slice_end - self.now, core._slice_cb)
+            delay = thread.slice_end - now
+            if delay < 0:
+                raise SimulationError("cannot schedule a timer in the past")
+            timer = Timer(now + delay, next(self._seq), core._slice_cb)
+        activity.timer = timer
+        self._timers.push(timer)
 
     # The two _apply_progress variants must stay in lockstep: the ledger
     # one is the lean body plus the per-thread ledger-cell charge.
@@ -1014,9 +1126,9 @@ class Kernel:
                 event._spinners.remove(thread)
             result: Any = thread._spin_result if thread._spin_result is not None else False
             thread._spin_result = None
-            self._step(thread, result)
+            self._step(thread, result, True)
         else:
-            self._step(thread, None)
+            self._step(thread, None, True)
 
     def _on_slice_end(self, core: LogicalCPU) -> None:
         activity = core.activity
@@ -1070,7 +1182,7 @@ class Kernel:
             activity.timer.cancel()
         core.activity = None
         thread._spin_result = None
-        self._step(thread, True)
+        self._step(thread, True, True)
 
     # ------------------------------------------------------------------
     # Accounting
@@ -1082,8 +1194,15 @@ class Kernel:
         work in flight is included.
         """
         apply_progress = self._apply_progress
+        now = self.now
         for core in self.cpus:
-            apply_progress(core)
+            # Skip what _apply_progress would return from at once: idle
+            # cores and activities already credited up to now (a zc
+            # scheduler reads at the end of one probe and the start of
+            # the next at the same instant).
+            activity = core.activity
+            if activity is not None and activity.last_update < now:
+                apply_progress(core)
 
     def cpu_snapshot(self) -> dict[str, Any]:
         """Return cumulative CPU accounting up to the current instant.
@@ -1118,12 +1237,12 @@ class Kernel:
     def ready_queue_length(self) -> int:
         """Number of threads waiting in the ready queue, O(1).
 
-        :meth:`_make_ready` never double-queues a READY thread and queued
-        threads only change state by being dispatched (which pops them),
-        so every entry is live and the deque length is the exact count —
-        no O(n) state filter, no stale-entry double counting.
+        :meth:`_make_ready` never double-queues a READY thread, and queued
+        threads only leave READY by being dispatched (which pops them) or
+        killed (counted in ``_stale_ready`` until a dispatch drops them),
+        so the count is exact without an O(n) state filter.
         """
-        return len(self._ready)
+        return len(self._ready) - self._stale_ready
 
 
 #: Sentinel returned by :meth:`Kernel._step_subclass` when the thread parked.

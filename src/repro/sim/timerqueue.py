@@ -13,6 +13,10 @@ is rebuilt live-only, so the serve router's mass cancel/re-arm
 completion-timeout pattern keeps the queue O(live) instead of
 accumulating one dead entry per request.
 
+The kernel reads the heap's first entry directly (``_heap[0]``, which
+may be cancelled) to prove that a Compute it is about to complete inline
+ends strictly before every stored timer.
+
 A heap suffices because the queue stays small: one serve stream holds at
 most ~100 stored timers and no paper figure more than ~300, far below
 the tens of thousands at which a bucketed calendar queue starts to pay

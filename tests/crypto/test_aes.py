@@ -37,6 +37,19 @@ class TestFips197Vectors:
         expected = bytes.fromhex("3925841d02dc09fbdc118597196a0b32")
         assert AES(key).encrypt_block(plaintext) == expected
 
+    @pytest.mark.parametrize(
+        ("keylen", "ciphertext"),
+        [
+            (16, "69c4e0d86a7b0430d8cdb78070b4c55a"),
+            (24, "dda97ca4864cdfe06eaf70a0ec0d7191"),
+            (32, "8ea2b7ca516745bfeafc49904b496089"),
+        ],
+    )
+    def test_decrypt_vectors(self, keylen, ciphertext):
+        """Appendix C's inverse-cipher results, for each key size."""
+        block = bytes.fromhex(ciphertext)
+        assert AES(bytes(range(keylen))).decrypt_block(block) == self.PLAINTEXT
+
     @pytest.mark.parametrize("keylen", [16, 24, 32])
     def test_decrypt_inverts_encrypt_on_vectors(self, keylen):
         key = bytes(range(keylen))

@@ -61,3 +61,12 @@ class TestFastEngine:
 def test_fast_engine_roundtrip_property(data):
     engine = FastXorEngine(b"prop-key", bytes(16))
     assert engine.decrypt(engine.encrypt(data)) == data
+
+
+# Draw the length first so long inputs (past the 4 KiB mark) are common.
+@given(data=st.integers(0, 5_000).flatmap(lambda n: st.binary(min_size=n, max_size=n)))
+def test_fast_engine_xor_matches_a_bytewise_xor(data):
+    engine = FastXorEngine(b"prop-key", bytes(16))
+    keystream = engine._pad * (len(data) // 256 + 1)
+    expected = bytes(a ^ b for a, b in zip(data, keystream))
+    assert engine._xor(data) == expected

@@ -93,6 +93,45 @@ class TestFileRoundTrip:
         assert open(a, "rb").read() == open(b, "rb").read()
 
 
+def _count_serialisations(monkeypatch):
+    calls = []
+    original = TraceEvent.to_json
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(TraceEvent, "to_json", counting)
+    return calls
+
+
+class TestDigestCache:
+    def test_digest_serialises_the_events_once(self, monkeypatch):
+        trace = _tiny_trace()
+        calls = _count_serialisations(monkeypatch)
+        first = trace.digest
+        assert trace.digest == first
+        assert len(calls) == len(trace.events)
+        assert first == trace_digest(trace.events)
+
+    def test_write_serialises_each_event_once(self, tmp_path, monkeypatch):
+        trace = _tiny_trace()
+        calls = _count_serialisations(monkeypatch)
+        path = write_trace(trace, str(tmp_path / "t.jsonl"))
+        assert len(calls) == len(trace.events)
+        header = json.loads(open(path, encoding="utf-8").readline())
+        assert header["sha256"] == trace.digest
+        assert len(calls) == len(trace.events)
+
+    def test_loaded_trace_reuses_the_verified_digest(self, tmp_path, monkeypatch):
+        path = write_trace(_tiny_trace(), str(tmp_path / "t.jsonl"))
+        loaded = load_trace(path)
+        calls = _count_serialisations(monkeypatch)
+        assert loaded.digest == _tiny_trace().digest
+        # Only the fresh trace on the right-hand side serialised.
+        assert len(calls) == len(loaded.events)
+
+
 class TestTamperEvidence:
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"

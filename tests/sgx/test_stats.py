@@ -57,3 +57,20 @@ class TestCallStats:
         from repro.sgx.enclave import CallSiteStats
 
         assert CallSiteStats().mean_latency_cycles == 0.0
+
+    def test_site_entry_built_only_on_first_call(self, monkeypatch):
+        import repro.sgx.enclave as enclave_module
+
+        built = []
+        original = enclave_module.CallSiteStats
+
+        def counting_site_stats():
+            built.append(1)
+            return original()
+
+        monkeypatch.setattr(enclave_module, "CallSiteStats", counting_site_stats)
+        stats = CallStats()
+        for name in ("f", "f", "g", "f"):
+            stats.record(make_request(name=name), 1.0)
+        assert len(built) == 2
+        assert stats.by_name["f"].calls == 3

@@ -70,6 +70,21 @@ class TestReadyQueue:
         kernel.run(until_time=10)  # one running, two queued
         assert kernel.ready_queue_length() == 2
 
+    def test_queue_length_excludes_killed_entries(self):
+        kernel = Kernel(MachineSpec(n_cores=1, smt=1, timeslice_cycles=1e9))
+
+        def program():
+            yield Compute(1000)
+
+        threads = [kernel.spawn(program()) for _ in range(3)]
+        kernel.run(until_time=10)
+        # The killed thread's entry stays queued until the next dispatch,
+        # but it is not counted.
+        kernel.kill(threads[1])
+        assert kernel.ready_queue_length() == 1
+        kernel.run()
+        assert kernel.ready_queue_length() == 0
+
 
 class TestMixedWaits:
     def test_spin_then_block_sequence(self):
