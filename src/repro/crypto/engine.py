@@ -63,6 +63,29 @@ class RealAesCbcEngine:
         return cbc_decrypt(self.key, self.iv, ciphertext)
 
 
+def _derive_keystream(key: bytes, iv: bytes) -> bytes:
+    """The 256-byte repeating keystream :class:`FastXorEngine` XORs with."""
+    # Fold the key material into a 64-bit seed, then expand it with an
+    # LCG; deterministic per (key, iv) and sensitive to every byte.
+    raw = key + iv
+    state = len(raw)
+    for offset in range(0, len(raw), 8):
+        state ^= int.from_bytes(raw[offset : offset + 8], "big")
+    mask = 2**64 - 1
+    stream = bytearray()
+    while len(stream) < 256:
+        state = (state * 6364136223846793005 + 1442695040888963407) & mask
+        stream.extend(state.to_bytes(8, "big"))
+    return bytes(stream[:256])
+
+
+#: Pads already derived, by ``(key, iv)``: the crypto service builds a
+#: fresh engine for every request over one fixed key, and the pad is a
+#: pure function of the pair.  Holds at most ``_MAX_PADS`` pairs.
+_PADS: dict[tuple[bytes, bytes], bytes] = {}
+_MAX_PADS = 64
+
+
 class FastXorEngine:
     """Length/padding-faithful stand-in cipher for large benchmark runs.
 
@@ -76,18 +99,14 @@ class FastXorEngine:
     def __init__(self, key: bytes, iv: bytes) -> None:
         if not key:
             raise ValueError("key must be non-empty")
-        # Fold the key material into a 64-bit seed, then expand it with an
-        # LCG; deterministic per (key, iv) and sensitive to every byte.
-        raw = key + iv
-        state = len(raw)
-        for offset in range(0, len(raw), 8):
-            state ^= int.from_bytes(raw[offset : offset + 8], "big")
-        mask = 2**64 - 1
-        stream = bytearray()
-        while len(stream) < 256:
-            state = (state * 6364136223846793005 + 1442695040888963407) & mask
-            stream.extend(state.to_bytes(8, "big"))
-        self._pad = bytes(stream[:256])
+        # Only immutable key material is memoised (a bytearray can change).
+        memo = type(key) is type(iv) is bytes
+        pad = _PADS.get((key, iv)) if memo else None
+        if pad is None:
+            pad = _derive_keystream(key, iv)
+            if memo and len(_PADS) < _MAX_PADS:
+                _PADS[(key, iv)] = pad
+        self._pad = pad
 
     def _xor(self, data: bytes) -> bytes:
         # One big-int XOR at every length: the same bytes as a bytewise

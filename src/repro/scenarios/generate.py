@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 from typing import Any
 
 from repro.scenarios.trace import ScenarioTrace, TraceEvent
@@ -187,92 +188,125 @@ class ScenarioSpec:
         return params
 
 
-class _ZipfRanks:
-    """Inverse-CDF Zipf rank sampler over a shared RNG (rank 0 hottest)."""
+def _zipf_cdf(n: int, s: float) -> list[float]:
+    """Inverse-CDF table of a Zipf rank law (rank 0 hottest).
 
-    def __init__(self, n: int, s: float) -> None:
-        weights = [1.0 / (rank + 1) ** s for rank in range(n)]
-        total = sum(weights)
-        self._cdf = []
-        acc = 0.0
-        for weight in weights:
-            acc += weight / total
-            self._cdf.append(acc)
-        self._cdf[-1] = 1.0
+    A rank is drawn as ``bisect_left(cdf, rng.random())``.
+    """
+    weights = [1.0 / (rank + 1) ** s for rank in range(n)]
+    total = sum(weights)
+    cdf = []
+    acc = 0.0
+    for weight in weights:
+        acc += weight / total
+        cdf.append(acc)
+    cdf[-1] = 1.0
+    return cdf
 
-    def draw(self, rng: random.Random) -> int:
-        return bisect_left(self._cdf, rng.random())
+
+def _cumulative(
+    pairs: tuple[tuple[str, float], ...],
+) -> tuple[list[str], list[float], float]:
+    """Names, cumulative weights and total for one weighted mix.
+
+    The same list and total :meth:`random.Random.choices` builds on every
+    call, built once per trace.
+    """
+    names = [name for name, _ in pairs]
+    cum = list(accumulate(weight for _, weight in pairs))
+    total = cum[-1] + 0.0
+    if total <= 0.0:
+        raise ValueError("Total of weights must be greater than zero")
+    if not math.isfinite(total):
+        raise ValueError("Total of weights must be finite")
+    return names, cum, total
 
 
 def generate_trace(spec: ScenarioSpec) -> ScenarioTrace:
-    """Generate ``spec``'s trace; same spec → the same events, always."""
+    """Generate ``spec``'s trace; same spec → the same events, always.
+
+    The loop draws through ``rng.random`` with the standard library's own
+    expressions — ``-log(1 - random()) / peak`` is ``expovariate(peak)``
+    and a bisection of ``random() * total`` into the cumulative weights
+    is ``choices(..., weights=...)`` — so the draws, their order and the
+    events are those of the method calls, without rebuilding the
+    cumulative weights per event.
+    """
     rng = random.Random(spec.seed * 1_000_003 + _GENERATOR_SALT)
-    zipf = (
-        _ZipfRanks(spec.keyspace, spec.zipf_s)
-        if spec.keydist == "zipf"
-        else None
+    draw, log = rng.random, math.log
+    zipf_cdf = (
+        _zipf_cdf(spec.keyspace, spec.zipf_s) if spec.keydist == "zipf" else None
     )
     peak = spec.peak_rate()
-    app_names = [name for name, _ in spec.apps]
-    app_weights = [weight for _, weight in spec.apps]
-    tenant_names = (
-        [name for name, _ in spec.tenants] if spec.tenants else None
-    )
-    tenant_weights = (
-        [weight for _, weight in spec.tenants] if spec.tenants else None
-    )
+    duration = spec.duration_s
+    keyspace = spec.keyspace
+    value_bytes = spec.value_bytes
+    set_fraction = spec.set_fraction
+    mutate_fraction = spec.set_fraction + spec.delete_fraction
+    shift_at = spec.hot_shift_at_s
+    shift_offset = spec.shift_offset
+    # Thinning thresholds rate(t) / peak.  Steady and flash rates are
+    # piecewise constant, so their two quotients are computed once; the
+    # diurnal curve is evaluated per candidate.
+    diurnal = spec.arrival == "diurnal"
+    flash_lo = flash_hi = 0.0
+    inside = outside = spec.rate_rps / peak
+    if spec.arrival == "flash":
+        assert spec.flash_at_s is not None
+        flash_lo = spec.flash_at_s
+        flash_hi = spec.flash_at_s + spec.flash_window_s
+        inside = spec.rate_rps * spec.flash_factor / peak
+        outside = spec.rate_rps * 1.0 / peak
+    tenants = _cumulative(spec.tenants) if spec.tenants else None
+    apps = _cumulative(spec.apps) if len(spec.apps) > 1 else None
+    only_app = spec.apps[0][0]
     events: list[TraceEvent] = []
     t = 0.0
     counter = 0
     while True:
-        t += rng.expovariate(peak)
-        if t >= spec.duration_s:
+        t += -log(1.0 - draw()) / peak
+        if t >= duration:
             break
         # Thinning: accept this candidate with probability rate(t)/peak.
-        if rng.random() >= spec.rate_at(t) / peak:
+        if diurnal:
+            threshold = spec.rate_at(t) / peak
+        else:
+            threshold = inside if flash_lo <= t < flash_hi else outside
+        if draw() >= threshold:
             continue
-        selector = rng.random()
-        if selector < spec.set_fraction:
+        selector = draw()
+        if selector < set_fraction:
             op = "set"
-        elif selector < spec.set_fraction + spec.delete_fraction:
+        elif selector < mutate_fraction:
             op = "delete"
         else:
             op = "get"
-        if zipf is not None:
-            rank = zipf.draw(rng)
-            offset = (
-                spec.shift_offset
-                if spec.hot_shift_at_s is not None and t >= spec.hot_shift_at_s
-                else 0
-            )
-            key_index = (rank + offset) % spec.keyspace
+        if zipf_cdf is not None:
+            rank = bisect_left(zipf_cdf, draw())
+            offset = shift_offset if shift_at is not None and t >= shift_at else 0
+            key_index = (rank + offset) % keyspace
         else:
-            key_index = rng.randrange(spec.keyspace)
+            key_index = rng.randrange(keyspace)
         tenant = ""
-        if tenant_names is not None:
-            tenant = rng.choices(tenant_names, weights=tenant_weights, k=1)[0]
-        if len(app_names) > 1:
-            app = rng.choices(app_names, weights=app_weights, k=1)[0]
+        if tenants is not None:
+            names, cum, total = tenants
+            tenant = names[bisect_right(cum, draw() * total, 0, len(cum) - 1)]
+        if apps is not None:
+            names, cum, total = apps
+            app = names[bisect_right(cum, draw() * total, 0, len(cum) - 1)]
         else:
-            app = app_names[0]
+            app = only_app
         if app == "crypto" and op == "delete":
             # The crypto pipeline's vocabulary has no delete; re-encrypting
             # the slot is the closest mutation.
             op = "set"
         value = (
-            (counter % 2**63).to_bytes(spec.value_bytes, "big")
+            (counter % 2**63).to_bytes(value_bytes, "big")
             if op == "set"
             else None
         )
         events.append(
-            TraceEvent(
-                t=t,
-                app=app,
-                op=op,
-                key=key_index.to_bytes(8, "big"),
-                tenant=tenant,
-                value=value,
-            )
+            TraceEvent(t, app, op, key_index.to_bytes(8, "big"), tenant, value)
         )
         counter += 1
     return ScenarioTrace(

@@ -24,15 +24,23 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from repro.telemetry.schema import check_stamp, stamp
 
 #: Artifact kind of a trace file's header stamp.
 TRACE_ARTIFACT = "scenario-trace"
+
+#: Event lines per ``json.loads`` call when loading a verified trace:
+#: bounded, so peak memory holds one chunk's records, not the file's.
+_PARSE_CHUNK = 1_024
+#: Event fields holding names that repeat across a trace's events.
+_NAME_FIELDS = ("app", "op", "tenant")
 
 
 @dataclass(frozen=True)
@@ -47,7 +55,31 @@ class TraceEvent:
     value: bytes | None = None
 
     def to_json(self) -> str:
-        """The event's canonical serialized form (digest input)."""
+        """The event's canonical serialized form (digest input).
+
+        Exactly ``json.dumps(record, sort_keys=True, separators=(",",
+        ":"))`` of the event's record, built directly: keys in sorted
+        order, strings ASCII-escaped by the encoder's own escaper, ``t``
+        as ``float.__repr__`` and hex for the bytes.  Anything but str
+        text and a finite float ``t`` takes the encoder itself.
+        """
+        t, app, op, tenant = self.t, self.app, self.op, self.tenant
+        if not (
+            type(t) is float
+            and math.isfinite(t)
+            and type(app) is type(op) is type(tenant) is str
+        ):
+            return json.dumps(self._record(), sort_keys=True, separators=(",", ":"))
+        line = (
+            f'{{"app":{_quote(app)},"key":"{self.key.hex()}",'
+            f'"op":{_quote(op)},"t":{float.__repr__(t)},'
+            f'"tenant":{_quote(tenant)}'
+        )
+        if self.value is None:
+            return line + "}"
+        return f'{line},"value":"{self.value.hex()}"}}'
+
+    def _record(self) -> dict[str, Any]:
         record: dict[str, Any] = {
             "t": self.t,
             "app": self.app,
@@ -57,20 +89,24 @@ class TraceEvent:
         }
         if self.value is not None:
             record["value"] = self.value.hex()
-        return json.dumps(record, sort_keys=True, separators=(",", ":"))
+        return record
 
     @classmethod
     def from_json(cls, line: str) -> "TraceEvent":
         """Parse one serialized event line."""
-        record = json.loads(line)
+        return cls.from_record(json.loads(line))
+
+    @classmethod
+    def from_record(cls, record: dict[str, Any]) -> "TraceEvent":
+        """Build the event a parsed line's record describes."""
         value = record.get("value")
         return cls(
-            t=float(record["t"]),
-            app=record["app"],
-            op=record["op"],
-            key=bytes.fromhex(record["key"]),
-            tenant=record.get("tenant", ""),
-            value=bytes.fromhex(value) if value is not None else None,
+            float(record["t"]),
+            record["app"],
+            record["op"],
+            bytes.fromhex(record["key"]),
+            record.get("tenant", ""),
+            bytes.fromhex(value) if value is not None else None,
         )
 
 
@@ -128,11 +164,11 @@ class ScenarioTrace:
 
 def trace_digest(events: tuple[TraceEvent, ...]) -> str:
     """SHA-256 over the newline-joined canonical event lines."""
-    return _lines_digest([event.to_json() for event in events])
+    return _body_digest("\n".join([event.to_json() for event in events]))
 
 
-def _lines_digest(lines: list[str]) -> str:
-    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+def _body_digest(body: str) -> str:
+    return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
 def write_trace(trace: ScenarioTrace, path: str) -> str:
@@ -145,22 +181,33 @@ def write_trace(trace: ScenarioTrace, path: str) -> str:
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
-    lines = [event.to_json() for event in trace.events]
     # Serialise each event once: the header's digest hashes the very
-    # lines written below (and fills the trace's digest cache).
-    vars(trace).setdefault("digest", _lines_digest(lines))
+    # body written below (and fills the trace's digest cache).
+    body = "\n".join([event.to_json() for event in trace.events])
+    vars(trace).setdefault("digest", _body_digest(body))
     header = json.dumps(trace.header(), sort_keys=True, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header)
         fh.write("\n")
-        for line in lines:
-            fh.write(line)
+        if trace.events:
+            fh.write(body)
             fh.write("\n")
     return path
 
 
 def load_trace(path: str) -> ScenarioTrace:
     """Load and verify one trace file.
+
+    Verification takes two steps.  First, the header's SHA-256 is
+    checked against the event lines exactly as read — the bytes
+    :func:`write_trace` hashed — which costs one hash and no
+    serialisation, and lets the events be parsed in bounded chunks.
+    Only when that fails are the events parsed line by line and the
+    digest recomputed over their canonical serialisation, so a file
+    rewritten as equivalent but non-canonical JSON (spacing, key order,
+    hex case) still loads, and a modified one is still refused.  (A
+    header whose digest was recomputed over non-canonical lines passes
+    the first step, as the format defines the digest over the lines.)
 
     Raises :class:`repro.telemetry.schema.SchemaMismatch` on a bad or
     missing stamp, and :class:`ValueError` when the event count or
@@ -177,8 +224,14 @@ def load_trace(path: str) -> ScenarioTrace:
     if not isinstance(header, dict):
         raise ValueError(f"{path}: trace header is not an object")
     check_stamp(header, TRACE_ARTIFACT, source=path)
+    body = lines[1:]
+    digest = _body_digest("\n".join(body))
+    verbatim = header.get("sha256") == digest
     try:
-        events = tuple(TraceEvent.from_json(line) for line in lines[1:])
+        if verbatim:
+            events = _parse_events(body)
+        else:
+            events = tuple(TraceEvent.from_json(line) for line in body)
     except (json.JSONDecodeError, KeyError, ValueError) as exc:
         raise ValueError(f"{path}: unparsable trace event: {exc}") from exc
     declared = header.get("events")
@@ -186,12 +239,13 @@ def load_trace(path: str) -> ScenarioTrace:
         raise ValueError(
             f"{path}: header declares {declared} events, file has {len(events)}"
         )
-    digest = trace_digest(events)
-    if header.get("sha256") != digest:
-        raise ValueError(
-            f"{path}: event digest {digest[:12]}… does not match the header "
-            f"({str(header.get('sha256'))[:12]}…) — the trace was modified"
-        )
+    if not verbatim:
+        digest = trace_digest(events)
+        if header.get("sha256") != digest:
+            raise ValueError(
+                f"{path}: event digest {digest[:12]}… does not match the header "
+                f"({str(header.get('sha256'))[:12]}…) — the trace was modified"
+            )
     tenants = header.get("tenants")
     trace = ScenarioTrace(
         name=header["name"],
@@ -205,3 +259,35 @@ def load_trace(path: str) -> ScenarioTrace:
     )
     vars(trace)["digest"] = digest  # just verified: fill the cache
     return trace
+
+
+def _parse_events(lines: list[str]) -> tuple[TraceEvent, ...]:
+    """Parse event lines ``_PARSE_CHUNK`` at a time.
+
+    A chunk that fails to parse as a whole, or parses to a different
+    number of records than it has lines, is parsed again line by line,
+    which raises the first bad line's own error, in line order.
+
+    The events share one str per distinct app, op and tenant name, as
+    generated events do: a fresh copy of each per event would be about
+    two fifths of a loaded trace's memory.
+    """
+    names: dict[str, str] = {}
+    share = names.setdefault
+    events: list[TraceEvent] = []
+    for start in range(0, len(lines), _PARSE_CHUNK):
+        chunk = lines[start : start + _PARSE_CHUNK]
+        try:
+            records = json.loads("[" + ",".join(chunk) + "]")
+        except ValueError:
+            records = ()
+        if len(records) != len(chunk):
+            records = map(json.loads, chunk)
+        for record in records:
+            if type(record) is dict:
+                for name in _NAME_FIELDS:
+                    text = record.get(name)
+                    if type(text) is str:
+                        record[name] = share(text, text)
+            events.append(TraceEvent.from_record(record))
+    return tuple(events)

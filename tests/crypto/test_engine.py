@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.crypto import CryptoCostModel, FastXorEngine, RealAesCbcEngine
+from repro.crypto.engine import _derive_keystream
 
 
 class TestCryptoCostModel:
@@ -55,6 +56,29 @@ class TestFastEngine:
     def test_empty_key_rejected(self):
         with pytest.raises(ValueError):
             FastXorEngine(b"", bytes(16))
+
+    def test_same_key_material_shares_one_pad(self):
+        a = FastXorEngine(b"shared-key", b"iv" * 8)
+        b = FastXorEngine(b"shared-key", b"iv" * 8)
+        assert a._pad is b._pad
+        data = b"round trip" * 30
+        assert a.encrypt(data) == b.encrypt(data)
+        assert b.decrypt(a.encrypt(data)) == data
+
+    def test_memoised_pad_is_the_derived_pad(self):
+        key, iv = b"k" * 32, bytes(range(16))
+        pad = _derive_keystream(key, iv)
+        assert FastXorEngine(key, iv)._pad == pad
+        # Unhashable key material derives the same bytes, uncached.
+        assert FastXorEngine(bytearray(key), bytearray(iv))._pad == pad
+
+    def test_different_keys_or_ivs_still_differ(self):
+        base = FastXorEngine(b"key-a", bytes(16))
+        other_key = FastXorEngine(b"key-b", bytes(16))
+        other_iv = FastXorEngine(b"key-a", b"\x01" * 16)
+        assert len({base._pad, other_key._pad, other_iv._pad}) == 3
+        outs = {e.encrypt(b"payload") for e in (base, other_key, other_iv)}
+        assert len(outs) == 3
 
 
 @given(data=st.binary(min_size=0, max_size=10_000))

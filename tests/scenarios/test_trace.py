@@ -1,8 +1,13 @@
 """Tests for the scenario trace format: round-trip and tamper evidence."""
 
+import hashlib
 import json
+import math
+import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.scenarios.trace import (
     TRACE_ARTIFACT,
@@ -53,6 +58,66 @@ class TestEventSerialization:
         line = _tiny_trace().events[0].to_json()
         record = json.loads(line)
         assert line == json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def _reference_line(event):
+    """The canonical line as first defined: ``json.dumps`` of the record."""
+    record = {
+        "t": event.t,
+        "app": event.app,
+        "op": event.op,
+        "key": event.key.hex(),
+        "tenant": event.tenant,
+    }
+    if event.value is not None:
+        record["value"] = event.value.hex()
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+#: Characters whose JSON escaping differs from the plain ASCII path.
+_AWKWARD = '"\\/\x00\x01\x08\t\n\x0c\r\x1f\x7f\x80\xe9\u2028\u2029\ufeff\U0001f600'
+_names = st.one_of(
+    st.text(),
+    st.text(alphabet=st.sampled_from(_AWKWARD + "az09 -_"), max_size=12),
+)
+_times = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=0.0, max_value=1e-300),
+    st.floats(min_value=1e15, max_value=1e20),
+    st.sampled_from(
+        [0.0, 5e-324, 2.2250738585072014e-308, 1e-7, 1e-5, 1e16, 9.999999999999998e15]
+    ),
+)
+
+
+class TestCanonicalLine:
+    @given(
+        t=_times,
+        app=_names,
+        op=_names,
+        tenant=_names,
+        key=st.binary(max_size=16),
+        value=st.none() | st.binary(max_size=64),
+    )
+    @example(t=1e-7, app="\u2028", op='"', tenant="\\", key=b"", value=None)
+    @example(t=1e16, app="\x00\x1f", op="\U0001f600", tenant="é", key=b"\xff", value=b"")
+    @example(t=5e-324, app="kv", op="set", tenant="", key=bytes(8), value=bytes(64))
+    def test_line_is_the_reference_json_and_round_trips(
+        self, t, app, op, tenant, key, value
+    ):
+        event = TraceEvent(t=t, app=app, op=op, key=key, tenant=tenant, value=value)
+        line = event.to_json()
+        assert line == _reference_line(event)
+        assert TraceEvent.from_json(line) == event
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, 3, True])
+    def test_non_finite_or_non_float_times_take_the_encoder(self, t):
+        event = TraceEvent(t=t, app="kv", op="get", key=b"k" * 8)
+        assert event.to_json() == _reference_line(event)
+
+    def test_non_str_names_take_the_encoder(self):
+        event = TraceEvent(t=0.5, app="kv", op="get", key=b"k", tenant=None)
+        assert event.to_json() == _reference_line(event)
 
 
 class TestTraceValidation:
@@ -123,6 +188,15 @@ class TestDigestCache:
         assert header["sha256"] == trace.digest
         assert len(calls) == len(trace.events)
 
+    def test_loading_a_canonical_file_serialises_nothing(self, tmp_path, monkeypatch):
+        trace = _tiny_trace()
+        path = write_trace(trace, str(tmp_path / "t.jsonl"))
+        calls = _count_serialisations(monkeypatch)
+        loaded = load_trace(path)
+        assert calls == []
+        assert vars(loaded)["digest"] == trace.digest
+        assert loaded == trace
+
     def test_loaded_trace_reuses_the_verified_digest(self, tmp_path, monkeypatch):
         path = write_trace(_tiny_trace(), str(tmp_path / "t.jsonl"))
         loaded = load_trace(path)
@@ -177,3 +251,106 @@ class TestTamperEvidence:
             fh.write("{broken\n")
         with pytest.raises(ValueError, match="unparsable trace event"):
             load_trace(str(path))
+
+
+def _rewrite_events(path, rewrite):
+    lines = open(path, encoding="utf-8").read().splitlines()
+    lines[1:] = [rewrite(line) for line in lines[1:]]
+    open(path, "w", encoding="utf-8").write("\n".join(lines) + "\n")
+    return lines
+
+
+def _rehash_header(path):
+    """Make the header's digest match the event lines as they now stand."""
+    lines = open(path, encoding="utf-8").read().splitlines()
+    header = json.loads(lines[0])
+    body = "\n".join(lines[1:])
+    header["sha256"] = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    lines[0] = json.dumps(header)
+    open(path, "w", encoding="utf-8").write("\n".join(lines) + "\n")
+
+
+def _many_events(n, seed=5):
+    rng = random.Random(seed)
+    return tuple(
+        TraceEvent(
+            t=(i + rng.random()) / (n + 1),
+            app=rng.choice(("kv", "session")),
+            op=rng.choice(("get", "set", "delete")),
+            key=rng.randrange(256).to_bytes(8, "big"),
+            tenant=rng.choice(("", "gold")),
+            value=i.to_bytes(8, "big") if i % 3 == 0 else None,
+        )
+        for i in range(n)
+    )
+
+
+class TestLoaderPaths:
+    def test_non_canonical_equivalent_file_still_loads(self, tmp_path, monkeypatch):
+        trace = _tiny_trace()
+        path = write_trace(trace, str(tmp_path / "t.jsonl"))
+        rng = random.Random(3)
+
+        def loosen(line):
+            items = list(json.loads(line).items())
+            rng.shuffle(items)
+            record = {
+                k: v.upper() if k in ("key", "value") else v for k, v in items
+            }
+            return json.dumps(record, separators=(", ", " : "))
+
+        lines = _rewrite_events(path, loosen)
+        assert lines[1] != trace.events[0].to_json()
+        calls = _count_serialisations(monkeypatch)
+        loaded = load_trace(path)
+        # The raw lines no longer hash to the header: the digest was
+        # recomputed over the canonical serialisation of every event.
+        assert len(calls) == len(trace.events)
+        assert loaded == trace
+        assert loaded.digest == trace.digest
+
+    def test_events_spanning_several_chunks_round_trip(self, tmp_path):
+        trace = _tiny_trace(events=_many_events(2_600), duration_s=1.0)
+        loaded = load_trace(write_trace(trace, str(tmp_path / "t.jsonl")))
+        assert loaded == trace
+        assert loaded.digest == trace_digest(trace.events)
+
+    def test_loaded_events_share_their_name_strings(self, tmp_path):
+        trace = _tiny_trace(events=_many_events(50), duration_s=1.0)
+        loaded = load_trace(write_trace(trace, str(tmp_path / "t.jsonl")))
+        gets = [e.op for e in loaded.events if e.op == "get"]
+        assert len(gets) > 1 and all(op is gets[0] for op in gets)
+
+    @pytest.mark.parametrize("rehash", [False, True], ids=["header", "raw-lines"])
+    def test_malformed_line_mid_chunk_is_unparsable(self, tmp_path, rehash):
+        trace = _tiny_trace(events=_many_events(40), duration_s=1.0)
+        path = write_trace(trace, str(tmp_path / "t.jsonl"))
+        lines = open(path, encoding="utf-8").read().splitlines()
+        lines[20] = lines[20][:-1]  # drop the closing brace
+        open(path, "w", encoding="utf-8").write("\n".join(lines) + "\n")
+        if rehash:
+            _rehash_header(path)
+        with pytest.raises(ValueError, match="unparsable trace event"):
+            load_trace(path)
+
+    def test_two_records_on_one_line_are_unparsable(self, tmp_path):
+        # Joined into a chunk, the line would parse as two array items.
+        trace = _tiny_trace(events=_many_events(40), duration_s=1.0)
+        path = write_trace(trace, str(tmp_path / "t.jsonl"))
+        lines = open(path, encoding="utf-8").read().splitlines()
+        lines[10:12] = [lines[10] + "," + lines[11]]
+        open(path, "w", encoding="utf-8").write("\n".join(lines) + "\n")
+        _rehash_header(path)
+        with pytest.raises(ValueError, match="unparsable trace event.*Extra data"):
+            load_trace(path)
+
+    def test_first_bad_line_in_order_names_the_error(self, tmp_path):
+        trace = _tiny_trace(events=_many_events(40), duration_s=1.0)
+        path = write_trace(trace, str(tmp_path / "t.jsonl"))
+        lines = open(path, encoding="utf-8").read().splitlines()
+        lines[5] = lines[5].replace('"key":', '"kee":')
+        lines[30] = "{broken"
+        open(path, "w", encoding="utf-8").write("\n".join(lines) + "\n")
+        _rehash_header(path)
+        with pytest.raises(ValueError, match="unparsable trace event: 'key'"):
+            load_trace(path)
